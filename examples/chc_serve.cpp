@@ -39,6 +39,20 @@
 
 using namespace la;
 
+namespace {
+
+/// The parsed value of \p Flag; exits 2 naming \p Text when parsing failed.
+template <typename T>
+T valueOrExit(std::optional<T> Parsed, const char *Flag, const char *Text) {
+  if (!Parsed) {
+    fprintf(stderr, "error: bad %s value '%s'\n", Flag, Text);
+    exit(2);
+  }
+  return *Parsed;
+}
+
+} // namespace
+
 int main(int Argc, char **Argv) {
   baselines::registerBuiltinEngines();
 
@@ -55,13 +69,16 @@ int main(int Argc, char **Argv) {
       return Argv[++I];
     };
     if (const char *V = FlagValue("--workers")) {
-      Opts.Service.Workers = static_cast<size_t>(std::atol(V));
+      Opts.Service.Workers = valueOrExit(solver::parseCount(V), "--workers", V);
     } else if (const char *V = FlagValue("--queue")) {
-      Opts.Service.QueueCapacity = static_cast<size_t>(std::atol(V));
+      Opts.Service.QueueCapacity =
+          valueOrExit(solver::parseCount(V), "--queue", V);
     } else if (const char *V = FlagValue("--budget")) {
-      Opts.DefaultBudgetSeconds = std::atof(V);
+      Opts.DefaultBudgetSeconds =
+          valueOrExit(solver::parseBudgetSeconds(V), "--budget", V);
     } else if (const char *V = FlagValue("--cache")) {
-      Opts.Service.CacheCapacity = static_cast<size_t>(std::atol(V));
+      Opts.Service.CacheCapacity =
+          valueOrExit(solver::parseCount(V), "--cache", V);
     } else if (const char *V = FlagValue("--isolation")) {
       std::optional<solver::Isolation> Iso = solver::parseIsolation(V);
       if (!Iso) {

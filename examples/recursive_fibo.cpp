@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "chc/ChcParser.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 
 #include <cstdio>
@@ -18,9 +18,8 @@
 using namespace la;
 using namespace la::chc;
 
-static const char *fiboSystem(const char *Property) {
-  static std::string Text;
-  Text = std::string(R"(
+static std::string fiboSystem(const char *Property) {
+  return std::string(R"(
 (set-logic HORN)
 (declare-fun p (Int Int) Bool)
 ; CHC (5): x < 1 -> fibo(x) = 0
@@ -34,7 +33,6 @@ static const char *fiboSystem(const char *Property) {
       (p x y))))
 ; CHC (8): the property
 )") + Property;
-  return Text.c_str();
 }
 
 static int solveAndReport(const char *Label, const char *Property,
@@ -42,9 +40,9 @@ static int solveAndReport(const char *Label, const char *Property,
   printf("=== %s ===\n", Label);
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(fiboSystem(Property), System);
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(fiboSystem(Property), System);
   if (!P.Ok) {
-    printf("parse error: %s\n", P.Error.c_str());
+    printf("parse error: %s\n", P.error().c_str());
     return 1;
   }
   printf("recursive: %s (CHC (7) has two occurrences of p in its body)\n",

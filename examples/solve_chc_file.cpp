@@ -10,7 +10,7 @@
 //   $ ./solve_chc_file program.c --engine portfolio --budget 30
 //   $ ./solve_chc_file input.txt --format smt2 --schedule staged
 //
-// Flags (the old positional form `file [timeout] [engine]` still works):
+// Flags:
 //
 //   --format auto|smt2|mini-c       input language (default: auto-detect)
 //   --engine <id>                   registry engine id: la (default),
@@ -53,10 +53,9 @@ int usage(const char *Prog) {
   fprintf(stderr,
           "usage: %s <file> [--format auto|smt2|mini-c] [--engine %s]\n"
           "       %*s [--budget seconds] [--schedule single|race|staged|auto]\n"
-          "       %*s [--selector model-file]\n"
-          "   or: %s <file> [timeout-seconds] [engine]   (legacy form)\n",
+          "       %*s [--selector model-file]\n",
           Prog, Ids.c_str(), static_cast<int>(strlen(Prog)), "",
-          static_cast<int>(strlen(Prog)), "", Prog);
+          static_cast<int>(strlen(Prog)), "");
   return 2;
 }
 
@@ -73,7 +72,6 @@ int main(int Argc, char **Argv) {
   Defaults.Solver.Learn.ModFeatures = {2, 3}; // generic mod features
   solver::SolveOptionsBuilder Builder(std::move(Defaults));
 
-  int Positional = 0;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto FlagValue = [&](const char *Flag) -> const char * {
@@ -95,7 +93,12 @@ int main(int Argc, char **Argv) {
     } else if (const char *V = FlagValue("--engine")) {
       Builder.engine(solver::EngineId(V));
     } else if (const char *V = FlagValue("--budget")) {
-      Builder.wallSeconds(std::atof(V));
+      std::optional<double> Seconds = solver::parseBudgetSeconds(V);
+      if (!Seconds) {
+        fprintf(stderr, "error: bad budget '%s' (want seconds > 0)\n", V);
+        return 2;
+      }
+      Builder.wallSeconds(*Seconds);
     } else if (const char *V = FlagValue("--schedule")) {
       std::optional<solver::SchedulePolicy> P = solver::parseSchedulePolicy(V);
       if (!P) {
@@ -118,17 +121,10 @@ int main(int Argc, char **Argv) {
     } else if (Arg.size() >= 2 && Arg[0] == '-' && Arg[1] == '-') {
       fprintf(stderr, "error: unknown flag '%s'\n", Arg.c_str());
       return usage(Argv[0]);
+    } else if (Request.Path.empty()) {
+      Request.Path = Arg;
     } else {
-      // Legacy positionals: file, then timeout seconds, then engine id.
-      if (Positional == 0)
-        Request.Path = Arg;
-      else if (Positional == 1)
-        Builder.wallSeconds(std::atof(Arg.c_str()));
-      else if (Positional == 2)
-        Builder.engine(solver::EngineId(Arg));
-      else
-        return usage(Argv[0]);
-      ++Positional;
+      return usage(Argv[0]);
     }
   }
   if (Request.Path.empty())

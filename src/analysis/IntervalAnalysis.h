@@ -30,10 +30,6 @@
 
 namespace la::analysis {
 
-/// Legacy name of the shared engine knobs, kept for source compatibility
-/// with the pre-`AnalysisContext` API.
-using IntervalAnalysisOptions = FixpointOptions;
-
 /// The interval abstract domain: one `Interval` per argument position.
 /// Implements the `AbstractDomain` concept (`analysis/AbstractDomain.h`).
 class IntervalDomain {

@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <mutex>
 #include <optional>
@@ -81,13 +80,12 @@ bool applyOption(const std::string &Word, solver::SolveOptionsBuilder &Builder,
     return true;
   }
   if (Key == "budget") {
-    char *End = nullptr;
-    double Seconds = std::strtod(Value.c_str(), &End);
-    if (End == Value.c_str() || *End != '\0' || Seconds <= 0) {
+    std::optional<double> Seconds = solver::parseBudgetSeconds(Value);
+    if (!Seconds) {
       Error = "bad budget '" + Value + "'";
       return false;
     }
-    Builder.wallSeconds(Seconds);
+    Builder.wallSeconds(*Seconds);
     return true;
   }
   if (Key == "format") {

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -42,6 +44,24 @@ solver::parseSourceFormat(const std::string &Name) {
   if (Name == "mini-c" || Name == "minic" || Name == "c")
     return SourceFormat::MiniC;
   return std::nullopt;
+}
+
+std::optional<double> solver::parseBudgetSeconds(const std::string &Text) {
+  char *End = nullptr;
+  double Seconds = std::strtod(Text.c_str(), &End);
+  if (End == Text.c_str() || *End != '\0' || !std::isfinite(Seconds) ||
+      Seconds <= 0)
+    return std::nullopt;
+  return Seconds;
+}
+
+std::optional<size_t> solver::parseCount(const std::string &Text) {
+  size_t N = 0;
+  const char *End = Text.data() + Text.size();
+  std::from_chars_result R = std::from_chars(Text.data(), End, N);
+  if (R.ec != std::errc() || R.ptr != End)
+    return std::nullopt;
+  return N;
 }
 
 std::string solver::SolveResult::summary() const {

@@ -62,6 +62,17 @@ const char *toString(SourceFormat F);
 /// CLI `--format` flag and the daemon request schema).
 std::optional<SourceFormat> parseSourceFormat(const std::string &Name);
 
+/// Parses a wall-clock budget ("30", "0.5") as accepted by the CLI
+/// `--budget` flag and the daemon's `budget=` option. The whole text must
+/// be a finite number above zero; junk, trailing characters, zero,
+/// negatives, `inf` and `nan` give nullopt.
+std::optional<double> parseBudgetSeconds(const std::string &Text);
+
+/// Parses a decimal count (the daemon's `--workers`/`--queue`/`--cache`).
+/// The whole text must be digits that fit a `size_t`; signs, junk and
+/// trailing characters give nullopt.
+std::optional<size_t> parseCount(const std::string &Text);
+
 /// Configuration of the façade.
 struct SolveOptions {
   /// Single budget shared by every engine: wall clock plus main-loop

@@ -178,12 +178,3 @@ std::vector<EngineInfo> SolverRegistry::selectable() const {
   }
   return Out;
 }
-
-std::vector<std::string> SolverRegistry::ids() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  std::vector<std::string> Out;
-  Out.reserve(Entries.size());
-  for (const auto &KV : Entries)
-    Out.push_back(KV.first.str());
-  return Out;
-}

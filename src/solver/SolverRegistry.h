@@ -23,10 +23,6 @@
 /// unreferenced object files). The data-driven engines ("la", "analysis")
 /// and the meta engines ("portfolio", "staged") are always present.
 ///
-/// The string-keyed `add`/`contains`/`create`/`ids`/`description` overloads
-/// are deprecated shims kept for exactly one PR; every in-tree caller uses
-/// the typed API.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef LA_SOLVER_SOLVERREGISTRY_H
@@ -159,40 +155,6 @@ public:
   /// The selector candidate set: every registered concrete engine —
   /// aliases, meta engines and diagnostic engines excluded — sorted by id.
   std::vector<EngineInfo> selectable() const;
-
-  // --- Deprecated stringly-typed shims (kept for one PR) ----------------
-
-  [[deprecated("use add(EngineInfo, Factory)")]] bool
-  add(const std::string &Id, const std::string &Description, Factory F) {
-    EngineInfo Info;
-    Info.Id = EngineId(Id);
-    Info.Description = Description;
-    return add(std::move(Info), std::move(F));
-  }
-
-  [[deprecated("use addAlias(EngineId, EngineId)")]] bool
-  addAlias(const std::string &Alias, const std::string &Target) {
-    return addAlias(EngineId(Alias), EngineId(Target));
-  }
-
-  [[deprecated("use contains(EngineId)")]] bool
-  contains(const std::string &Id) const {
-    return contains(EngineId(Id));
-  }
-
-  [[deprecated("use create(EngineId, EngineOptions)")]] std::
-      unique_ptr<chc::ChcSolverInterface>
-      create(const std::string &Id, const EngineOptions &Opts = {}) const {
-    return create(EngineId(Id), Opts);
-  }
-
-  [[deprecated("use engineIds()")]] std::vector<std::string> ids() const;
-
-  [[deprecated("use info(EngineId)")]] std::string
-  description(const std::string &Id) const {
-    std::optional<EngineInfo> I = info(EngineId(Id));
-    return I ? I->Description : std::string();
-  }
 
 private:
   struct Entry {

@@ -188,8 +188,16 @@ runInChildProcess(const std::function<std::string()> &Work,
   // Read the pipe to EOF while enforcing the wall deadline and the shared
   // cancellation token. SIGKILL is sent at most once; the loop keeps
   // draining afterwards so a payload already in flight is not lost.
+  //
+  // EOF alone cannot end the loop: a sibling lane forked from another
+  // thread while this pipe was open inherits its write end, so the pipe
+  // stays open for as long as that sibling lives. Each idle tick therefore
+  // also asks whether the child itself has exited; once it has, everything
+  // it wrote is already buffered in the pipe.
   std::string Raw;
   KillReason Killed = KillReason::None;
+  int Status = 0;
+  bool Reaped = false;
   char Buf[4096];
   for (;;) {
     if (Killed == KillReason::None) {
@@ -201,15 +209,21 @@ runInChildProcess(const std::function<std::string()> &Work,
         ::kill(Pid, SIGKILL);
       }
     }
+    // Once the child is reaped, drain without waiting.
     struct pollfd PFd = {Rd, POLLIN, 0};
-    int PR = ::poll(&PFd, 1, /*timeout_ms=*/20);
+    int PR = ::poll(&PFd, 1, /*timeout_ms=*/Reaped ? 0 : 20);
     if (PR < 0) {
       if (errno == EINTR)
         continue;
       break;
     }
-    if (PR == 0)
+    if (PR == 0) {
+      if (Reaped)
+        break; // drained
+      if (::waitpid(Pid, &Status, WNOHANG) == Pid)
+        Reaped = true;
       continue; // poll tick: re-check deadline/cancellation above
+    }
     ssize_t N = ::read(Rd, Buf, sizeof(Buf));
     if (N < 0) {
       if (errno == EINTR)
@@ -222,8 +236,7 @@ runInChildProcess(const std::function<std::string()> &Work,
   }
   ::close(Rd);
 
-  int Status = 0;
-  while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
+  while (!Reaped && ::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
   }
   Out.Seconds = Clock.elapsedSeconds();
 
@@ -241,7 +254,11 @@ runInChildProcess(const std::function<std::string()> &Work,
 
   // Classification order: a complete frame from a normally-exited child
   // wins (it finished before any kill landed), then a parent-initiated
-  // kill, then the termination signal.
+  // kill, then the termination signal. A kill only explains the death if
+  // SIGKILL is what ended the child: one that aborted or crashed before
+  // the kill landed is reported as the crash it was.
+  bool DiedOfOurKill = Killed != KillReason::None && WIFSIGNALED(Status) &&
+                       WTERMSIG(Status) == SIGKILL;
   if (WIFEXITED(Status) && FrameOk) {
     Out.ExitCode = WEXITSTATUS(Status);
     switch (Out.ExitCode) {
@@ -258,12 +275,12 @@ runInChildProcess(const std::function<std::string()> &Work,
     }
     return Out;
   }
-  if (Killed == KillReason::Deadline) {
+  if (DiedOfOurKill && Killed == KillReason::Deadline) {
     Out.Outcome = LaneOutcome::TimedOut;
     Out.Payload.clear();
     return Out;
   }
-  if (Killed == KillReason::Cancelled) {
+  if (DiedOfOurKill && Killed == KillReason::Cancelled) {
     Out.Outcome = LaneOutcome::Cancelled;
     Out.Payload.clear();
     return Out;

@@ -10,7 +10,7 @@
 #include "analysis/Octagon.h"
 #include "analysis/OctagonAnalysis.h"
 #include "analysis/PassManager.h"
-#include "chc/ChcParser.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 
 #include <gtest/gtest.h>
@@ -112,8 +112,8 @@ constexpr const char *SlicingSystem = R"(
 TEST(DependencyGraphTest, ReachabilityQueries) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   DependencyGraph G(System, {});
   std::vector<char> Derivable = G.derivableFromFacts();
@@ -131,8 +131,8 @@ TEST(DependencyGraphTest, ReachabilityQueries) {
 TEST(AnalysisTest, SlicingResolvesAndPrunes) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisResult R = analyzeSystem(System);
 
@@ -176,7 +176,7 @@ TEST(AnalysisTest, SlicingResolvesAndPrunes) {
 TEST(IntervalAnalysisTest, CountingLoopConverges) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(R"(
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(R"(
 (set-logic HORN)
 (declare-fun inv (Int) Bool)
 (assert (forall ((n Int)) (=> (= n 0) (inv n))))
@@ -184,8 +184,8 @@ TEST(IntervalAnalysisTest, CountingLoopConverges) {
   (=> (and (inv n) (< n 10) (= m (+ n 1))) (inv m))))
 (assert (forall ((n Int)) (=> (inv n) (<= n 10))))
 )",
-                                  System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+                                                 System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisContext Ctx(System);
   std::vector<IntervalState> States = runIntervalAnalysis(Ctx);
@@ -203,7 +203,7 @@ TEST(IntervalAnalysisTest, CountingLoopConverges) {
 TEST(IntervalAnalysisTest, WideningDropsUnstableBound) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(R"(
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(R"(
 (set-logic HORN)
 (declare-fun inv (Int) Bool)
 (assert (forall ((n Int)) (=> (= n 0) (inv n))))
@@ -211,8 +211,8 @@ TEST(IntervalAnalysisTest, WideningDropsUnstableBound) {
   (=> (and (inv n) (= m (+ n 1))) (inv m))))
 (assert (forall ((n Int)) (=> (inv n) (>= n 0))))
 )",
-                                  System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+                                                 System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisContext Ctx(System);
   std::vector<IntervalState> States = runIntervalAnalysis(Ctx);
@@ -470,8 +470,8 @@ constexpr const char *RelationalSystem = R"(
 TEST(OctagonAnalysisTest, RelationalInvariantBeyondIntervals) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(RelationalSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(RelationalSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
@@ -505,8 +505,8 @@ TEST(OctagonAnalysisTest, RelationalInvariantBeyondIntervals) {
 TEST(OctagonAnalysisTest, PipelineDischargesRelationalQuery) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(RelationalSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(RelationalSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   // Interval-only pipeline: no invariant, no discharge.
   AnalysisOptions IntervalOnly;
@@ -541,8 +541,8 @@ TEST(OctagonAnalysisTest, PipelineDischargesRelationalQuery) {
 TEST(AnalysisTest, EmittedInvariantsAreInductive) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisResult R = analyzeSystem(System);
   EXPECT_FALSE(R.Invariants.empty());
@@ -579,8 +579,8 @@ TEST(AnalysisTest, BoundedCounterSolvedStatically) {
   {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Text, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     AnalysisResult A = analyzeSystem(System);
     EXPECT_TRUE(A.ProvedSat);
@@ -598,8 +598,8 @@ TEST(AnalysisTest, BoundedCounterSolvedStatically) {
   {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Text, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     solver::DataDrivenOptions Opts;
     Opts.EnableAnalysis = false;
@@ -629,8 +629,8 @@ TEST(AnalysisTest, AnalysisOnOffAgreeOnFig1) {
   for (bool Enable : {true, false}) {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Fig1, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Fig1, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     solver::DataDrivenOptions Opts;
     Opts.EnableAnalysis = Enable;
@@ -657,8 +657,8 @@ TEST(AnalysisTest, UnsafeSystemStillRefuted) {
   for (bool Enable : {true, false}) {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Unsafe, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Unsafe, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     solver::DataDrivenOptions Opts;
     Opts.EnableAnalysis = Enable;
@@ -676,8 +676,8 @@ TEST(AnalysisTest, UnsafeSystemStillRefuted) {
 TEST(AnalysisTest, PassStatisticsAreReported) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisResult R = analyzeSystem(System);
   ASSERT_EQ(R.Passes.size(), 7u);

@@ -20,9 +20,9 @@
 #include "analysis/OctagonAnalysis.h"
 #include "analysis/PassManager.h"
 #include "analysis/TemplateAnalysis.h"
-#include "chc/ChcParser.h"
 #include "corpus/Harness.h"
 #include "smt/LpSolver.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 
 #include <gtest/gtest.h>
@@ -324,8 +324,8 @@ constexpr const char *TwoToOneSystem = R"(
 TEST(TemplateMiningTest, HarvestsQueryGuardRows) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
@@ -356,8 +356,8 @@ TEST(TemplateMiningTest, HarvestsQueryGuardRows) {
 TEST(TemplateMiningTest, MaskedPredicatesGetEmptyMatrices) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
@@ -370,8 +370,8 @@ TEST(TemplateMiningTest, MaskedPredicatesGetEmptyMatrices) {
 TEST(TemplateAnalysisTest, FindsCoefficientTwoInvariant) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
@@ -422,8 +422,8 @@ TEST(TemplateAnalysisTest, FindsCoefficientTwoInvariant) {
 TEST(TemplateAnalysisTest, PipelineDischargesBeyondOctagonQuery) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   // The pre-polyhedra ladder cannot discharge the query statically.
   AnalysisOptions NoPoly;
@@ -475,8 +475,8 @@ constexpr const char *CountToThree = R"(
 TEST(FixpointEngineTest, WideningDelayBoundaryIsExclusive) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(CountToThree, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(CountToThree, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "inv");
 
   // Reaching the fixpoint takes exactly 3 joins (n = 1, 2, 3 after the
@@ -519,8 +519,8 @@ TEST(FixpointEngineTest, UnreachablePredicateStaysBottom) {
 )";
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(Unreachable, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Unreachable, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Q = findPred(System, "q");
 
   // `q` has no fact clause: bottom propagates through its self-loop and it
@@ -546,8 +546,8 @@ TEST(FixpointEngineTest, UnreachablePredicateStaysBottom) {
 TEST(FixpointEngineTest, SweepCapTelemetryIsSurfaced) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(CountToThree, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(CountToThree, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   // The loop needs several sweeps; a cap of 1 must fire the safety net.
   AnalysisContext Ctx(System);

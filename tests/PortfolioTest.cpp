@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/RegisterEngines.h"
-#include "chc/ChcParser.h"
 #include "corpus/Harness.h"
+#include "smtlib2/Parser.h"
 #include "solver/Portfolio.h"
 #include "solver/SolveFacade.h"
 #include "support/Timer.h"
@@ -53,14 +53,22 @@ constexpr const char *DivergingText = R"(
 )";
 
 void parseInto(const char *Text, ChcSystem &System) {
-  ChcParseResult P = parseChcText(Text, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 }
 
 /// Stub engine with scripted behavior, for winner-selection and isolation
 /// tests that must not depend on real solver timing.
 struct StubEngine : ChcSolverInterface {
-  enum class Behavior { Sat, Unsat, Unknown, Throw, SleepThenSat, WaitCancel };
+  enum class Behavior {
+    Sat,
+    Unsat,
+    Unknown,
+    Throw,
+    SleepThenSat,
+    SleepThenUnsat,
+    WaitCancel
+  };
   Behavior Mode;
   std::shared_ptr<const CancellationToken> Cancel;
   double SleepSeconds = 0;
@@ -85,6 +93,10 @@ struct StubEngine : ChcSolverInterface {
       for (const Predicate *P : System.predicates())
         R.Interp.set(P, System.termManager().mkTrue());
       return R;
+    case Behavior::SleepThenUnsat:
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(SleepSeconds));
+      [[fallthrough]];
     case Behavior::Unsat:
       R.Status = ChcResult::Unsat;
       return R;
@@ -126,6 +138,8 @@ void addStubEngines(SolverRegistry &R) {
   Add("stub-throw", "throws", Stub(StubEngine::Behavior::Throw));
   Add("stub-slow-sat", "sat after 300ms",
       Stub(StubEngine::Behavior::SleepThenSat, 0.3));
+  Add("stub-slow-unsat", "unsat after 300ms",
+      Stub(StubEngine::Behavior::SleepThenUnsat, 0.3));
   Add("stub-wait", "spins until cancelled",
       Stub(StubEngine::Behavior::WaitCancel));
 }
@@ -457,7 +471,9 @@ TEST(ProcessIsolationTest, CrashingLaneLosesAndIsReportedKilled) {
   SolverRegistry R;
   addStubEngines(R);
   baselines::registerCrashEngines(R);
-  PortfolioOptions PO = stubPortfolio(R, {"crash-segv", "stub-sat"});
+  // The winner answers after 300 ms, so the crash lands first: a lane the
+  // race cancels before it crashes is rightly reported as cancelled.
+  PortfolioOptions PO = stubPortfolio(R, {"crash-segv", "stub-slow-sat"});
   PO.Isolate = Isolation::Process;
   PO.Limits.WallSeconds = 60;
   PortfolioSolver Solver(PO);
@@ -485,8 +501,9 @@ TEST(ProcessIsolationTest, AbortAndSpinLanesAreContained) {
   SolverRegistry R;
   addStubEngines(R);
   baselines::registerCrashEngines(R);
+  // As above, the winner answers after the abort has landed.
   PortfolioOptions PO =
-      stubPortfolio(R, {"crash-abort", "crash-spin", "stub-unsat"});
+      stubPortfolio(R, {"crash-abort", "crash-spin", "stub-slow-unsat"});
   PO.Isolate = Isolation::Process;
   PO.Limits.WallSeconds = 60;
   PortfolioSolver Solver(PO);
@@ -507,7 +524,7 @@ TEST(ProcessIsolationTest, AbortAndSpinLanesAreContained) {
           << toString(Rep.Outcome);
       EXPECT_FALSE(Rep.Winner);
     }
-    if (Rep.Engine == "stub-unsat") {
+    if (Rep.Engine == "stub-slow-unsat") {
       EXPECT_TRUE(Rep.Winner);
     }
   }

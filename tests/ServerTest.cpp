@@ -437,6 +437,7 @@ TEST(DaemonTest, ServesLineProtocolEndToEnd) {
   Script += ".\n";
   Script += "solve d /nonexistent/missing.smt2\n";
   Script += "solve e " + Safe->Path + " budjet=5\n";
+  Script += "solve f " + Safe->Path + " budget=nan\n";
   Script += "frobnicate\n";
   Script += "metrics\n";
   Script += "shutdown\n";
@@ -446,7 +447,7 @@ TEST(DaemonTest, ServesLineProtocolEndToEnd) {
   DaemonOptions Opts;
   Opts.Service.Workers = 4;
   size_t Accepted = runDaemon(In, Out, Opts);
-  EXPECT_EQ(Accepted, 4u); // a, b, c, d (e has a bad option, rejected).
+  EXPECT_EQ(Accepted, 4u); // a, b, c, d (e and f have bad options).
 
   std::string Text = Out.str();
   EXPECT_NE(Text.find("ok a sat"), std::string::npos) << Text;
@@ -455,6 +456,7 @@ TEST(DaemonTest, ServesLineProtocolEndToEnd) {
   EXPECT_NE(Text.find("error d cannot open"), std::string::npos) << Text;
   EXPECT_NE(Text.find("error e unknown option 'budjet'"), std::string::npos)
       << Text;
+  EXPECT_NE(Text.find("error f bad budget 'nan'"), std::string::npos) << Text;
   EXPECT_NE(Text.find("error ? unknown command 'frobnicate'"),
             std::string::npos)
       << Text;

@@ -3,12 +3,14 @@
 // Part of the LinearArbitrary reproduction. MIT license.
 //
 // The strict SMT-LIB2 HORN front end: located diagnostics, the supported
-// term fragment (Bool columns, let, ite, div/mod), the Z3 fixedpoint
-// dialect, the bundled `.smt2` corpus, and the printer round-trip
-// (mini-C corpus -> printed SMT-LIB2 -> reparsed -> identical verdicts).
+// term fragment (arithmetic, Bool columns, let, ite, div/mod), query and
+// recursion shapes of parsed systems, the Z3 fixedpoint dialect, the
+// bundled `.smt2` corpus, and the printer round-trip (mini-C corpus ->
+// printed SMT-LIB2 -> reparsed -> identical verdicts).
 //
 //===----------------------------------------------------------------------===//
 
+#include "chc/ChcCheck.h"
 #include "corpus/Corpus.h"
 #include "corpus/Smt2Corpus.h"
 #include "frontend/Encoder.h"
@@ -17,6 +19,8 @@
 #include "solver/SolveFacade.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 using namespace la;
 using namespace la::chc;
@@ -74,6 +78,12 @@ TEST(SmtLib2ParserTest, UnknownSymbolIsRejected) {
 (assert (forall ((x Int)) (=> (= y 0) (p x)))))");
   EXPECT_NE(P.Message.find("unknown symbol 'y'"), std::string::npos);
   EXPECT_EQ(P.Line, 3u);
+
+  P = expectParseError("(set-logic HORN)\n(assert (q 1))");
+  EXPECT_NE(P.Message.find("unknown function or predicate 'q'"),
+            std::string::npos)
+      << P.Message;
+  EXPECT_EQ(P.Line, 2u);
 }
 
 TEST(SmtLib2ParserTest, ArityMismatchIsRejected) {
@@ -120,6 +130,15 @@ TEST(SmtLib2ParserTest, DuplicateBinderIsRejected) {
   EXPECT_NE(P.Message.find("duplicate binder 'x'"), std::string::npos);
 }
 
+TEST(SmtLib2ParserTest, UnsupportedCommandIsRejectedWithLocation) {
+  ParseResult P = expectParseError("(set-logic HORN)\n  (frobnicate)");
+  EXPECT_NE(P.Message.find("unsupported command 'frobnicate'"),
+            std::string::npos)
+      << P.Message;
+  EXPECT_EQ(P.Line, 2u);
+  EXPECT_EQ(P.Col, 3u);
+}
+
 TEST(SmtLib2ParserTest, ErrorRendersFilenameWhenGiven) {
   ParseResult P = expectParseError("(set-logic LIA)");
   ParseOptions Opts;
@@ -132,6 +151,111 @@ TEST(SmtLib2ParserTest, ErrorRendersFilenameWhenGiven) {
 //===----------------------------------------------------------------------===//
 // Fragment features
 //===----------------------------------------------------------------------===//
+
+/// Fig. 1 of the paper in CHC-COMP form; the paper's invariant solves it.
+TEST(SmtLib2ParserTest, ParsesFig1) {
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult P = parseText(R"((set-logic HORN)
+(declare-fun p (Int Int) Bool)
+(assert (forall ((x Int) (y Int))
+  (=> (and (= x 1) (= y 0)) (p x y))))
+(assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
+  (=> (and (p x y) (= x1 (+ x y)) (= y1 (+ y 1))) (p x1 y1))))
+(assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
+  (=> (and (p x y) (= x1 (+ x y)) (= y1 (+ y 1))) (>= x1 y1))))
+(check-sat))",
+                            System);
+  ASSERT_TRUE(P.Ok) << P.error();
+  ASSERT_EQ(System.predicates().size(), 1u);
+  ASSERT_EQ(System.clauses().size(), 3u);
+  EXPECT_TRUE(System.isRecursive());
+  EXPECT_TRUE(System.clauses()[2].isQuery());
+
+  const Predicate *Pred = System.findPredicate("p");
+  Interpretation A(TM);
+  A.set(Pred, TM.mkAnd(TM.mkGe(Pred->Params[0], TM.mkIntConst(1)),
+                       TM.mkGe(Pred->Params[1], TM.mkIntConst(0))));
+  EXPECT_EQ(checkInterpretation(System, A), ClauseStatus::Valid);
+}
+
+/// `(assert (forall ... (not body)))` is the query `body -> false`.
+TEST(SmtLib2ParserTest, NegatedBodyIsAQuery) {
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult P = parseText(R"((declare-fun p (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (p x))))
+(assert (forall ((x Int)) (not (and (p x) (> x 5))))))",
+                            System);
+  ASSERT_TRUE(P.Ok) << P.error();
+  ASSERT_EQ(System.clauses().size(), 2u);
+  EXPECT_TRUE(System.clauses()[1].isQuery());
+  EXPECT_EQ(System.clauses()[1].Body.size(), 1u);
+}
+
+/// `(query p)` in the fixedpoint dialect adds the clause `p(...) -> false`.
+TEST(SmtLib2ParserTest, RuleQueryStyle) {
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult P = parseText(R"(
+(declare-rel inv (Int))
+(declare-var x Int)
+(rule (=> (= x 0) (inv x)))
+(rule (=> (and (inv x) (< x 10)) (inv (+ x 1))))
+(query inv))",
+                            System);
+  ASSERT_TRUE(P.Ok) << P.error();
+  EXPECT_EQ(System.clauses().size(), 3u);
+  EXPECT_TRUE(System.clauses()[2].isQuery());
+  EXPECT_EQ(System.clauses()[2].HeadFormula, TM.mkFalse());
+}
+
+TEST(SmtLib2ParserTest, ParsesArithmeticOperators) {
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult P = parseText(R"((declare-fun p (Int Int) Bool)
+(assert (forall ((x Int) (y Int))
+  (=> (and (= y (* 2 x)) (= (mod y 2) 0) (distinct x y) (<= 0 x y))
+      (p x y)))))",
+                            System);
+  ASSERT_TRUE(P.Ok) << P.error();
+  ASSERT_EQ(System.clauses().size(), 1u);
+  const HornClause &C = System.clauses()[0];
+  // (distinct x y) rules out x = y = 1 but not x = 1, y = 2.
+  std::unordered_map<const Term *, Rational> Asg{
+      {TM.mkVar("x"), Rational(1)}, {TM.mkVar("y"), Rational(2)}};
+  EXPECT_TRUE(evalFormula(C.Constraint, Asg));
+  Asg[TM.mkVar("y")] = Rational(1);
+  EXPECT_FALSE(evalFormula(C.Constraint, Asg));
+}
+
+TEST(SmtLib2ParserTest, NonRecursiveSystemDetected) {
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult P = parseText(R"((declare-fun a (Int) Bool)
+(declare-fun b (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (a x))))
+(assert (forall ((x Int)) (=> (a x) (b x))))
+(assert (forall ((x Int)) (=> (b x) (>= x 0)))))",
+                            System);
+  ASSERT_TRUE(P.Ok) << P.error();
+  EXPECT_FALSE(System.isRecursive());
+  EXPECT_TRUE(System.recursivePredicates().empty());
+}
+
+TEST(SmtLib2ParserTest, MutualRecursionDetected) {
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult P = parseText(R"((declare-fun even (Int) Bool)
+(declare-fun odd (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (even x))))
+(assert (forall ((x Int)) (=> (even x) (odd (+ x 1)))))
+(assert (forall ((x Int)) (=> (odd x) (even (+ x 1))))))",
+                            System);
+  ASSERT_TRUE(P.Ok) << P.error();
+  EXPECT_TRUE(System.isRecursive());
+  EXPECT_EQ(System.recursivePredicates().size(), 2u);
+}
 
 TEST(SmtLib2ParserTest, ParsesBoolColumnsLetAndIte) {
   TermManager TM;
@@ -192,7 +316,9 @@ TEST(SmtLib2ParserTest, ParsesFixedpointDialect) {
   ASSERT_TRUE(P.Ok) << P.error();
   EXPECT_EQ(System.predicates().size(), 1u);
   // Three rules plus the query clause `inv(fresh) -> false`.
-  EXPECT_EQ(System.clauses().size(), 4u);
+  ASSERT_EQ(System.clauses().size(), 4u);
+  EXPECT_TRUE(System.clauses()[3].isQuery());
+  EXPECT_EQ(System.clauses()[3].HeadFormula, TM.mkFalse());
 }
 
 TEST(SmtLib2ParserTest, ShadowingBinderIsRenamedApart) {

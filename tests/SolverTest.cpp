@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "chc/ChcParser.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 #include "solver/SolveFacade.h"
 
@@ -32,8 +32,8 @@ ChcResult solveText(const char *Text,
                     DataDrivenOptions Opts = testOptions()) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(Text, System);
-  EXPECT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  EXPECT_TRUE(P.Ok) << P.error();
   DataDrivenChcSolver Solver(Opts);
   ChcSolverResult R = Solver.solve(System);
   if (R.Status == ChcResult::Sat) {
@@ -214,12 +214,12 @@ TEST(DataDrivenSolverTest, PerceptronBackend) {
 TEST(DataDrivenSolverTest, TriviallySafe) {
   TermManager TM;
   ChcSystem System(TM);
-  ASSERT_TRUE(parseChcText(R"(
+  ASSERT_TRUE(smtlib2::parseSmtLib2(R"(
 (declare-fun p (Int) Bool)
 (assert (forall ((x Int)) (=> (> x 0) (p x))))
 (assert (forall ((x Int)) (=> (p x) true)))
 )",
-                           System)
+                                    System)
                   .Ok);
   DataDrivenChcSolver Solver(testOptions());
   ChcSolverResult R = Solver.solve(System);
@@ -336,6 +336,25 @@ TEST(SolveFacadeTest, UnsafeSystemYieldsRenderedCounterexample) {
   EXPECT_EQ(S.Status, ChcResult::Unsat);
   EXPECT_FALSE(S.Cex.empty());
   EXPECT_TRUE(S.Model.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Numeric option values
+//===----------------------------------------------------------------------===//
+
+TEST(NumericOptionTest, BudgetMustBeAFinitePositiveNumber) {
+  EXPECT_EQ(parseBudgetSeconds("30"), 30.0);
+  EXPECT_EQ(parseBudgetSeconds("0.5"), 0.5);
+  for (const char *S : {"", "abc", "5s", "0", "-1", "inf", "nan", "1e999"})
+    EXPECT_FALSE(parseBudgetSeconds(S).has_value()) << "'" << S << "'";
+}
+
+TEST(NumericOptionTest, CountMustBeUnsignedDigits) {
+  EXPECT_EQ(parseCount("0"), 0u);
+  EXPECT_EQ(parseCount("8"), 8u);
+  for (const char *S : {"", "x", "4x", "4 ", " 4", "-1", "+4", "1.5"})
+    EXPECT_FALSE(parseCount(S).has_value()) << "'" << S << "'";
+  EXPECT_FALSE(parseCount("18446744073709551616").has_value()); // 2^64
 }
 
 //===----------------------------------------------------------------------===//

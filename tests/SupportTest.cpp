@@ -262,10 +262,12 @@ TEST(RandomTest, DeterministicAndInRange) {
 #include "support/ProcessRunner.h"
 
 #include <cctype>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 // TSan does not support fork() from a multithreaded process and aborts the
@@ -397,6 +399,55 @@ TEST(ProcessRunnerTest, PreTrippedTokenCancelsImmediately) {
       ProcessLimits{}, Token);
   EXPECT_EQ(R.Outcome, LaneOutcome::Cancelled) << R.describe();
 }
+
+/// Forks a grandchild that holds the inherited pipe write end for three
+/// seconds after the child is gone, as a sibling lane forked from another
+/// thread does. It lets go of the standard streams, so that it holds up no
+/// reader of the test's own output.
+void forkPipeHolder() {
+  if (::fork() == 0) {
+    for (int Fd = 0; Fd <= 2; ++Fd)
+      ::close(Fd);
+    ::sleep(3);
+    ::_exit(0);
+  }
+}
+
+TEST(ProcessRunnerTest, ChildExitEndsTheWaitWhilePipeCopyOutlivesIt) {
+  LA_SKIP_UNDER_TSAN();
+  ProcessResult R = runInChildProcess(
+      [] {
+        forkPipeHolder();
+        return std::string("done");
+      },
+      ProcessLimits{});
+  EXPECT_EQ(R.Outcome, LaneOutcome::Completed) << R.describe();
+  EXPECT_EQ(R.Payload, "done");
+  // Waiting for pipe EOF would last until the holder exits.
+  EXPECT_LT(R.Seconds, 2.0);
+}
+
+#if !LA_ASAN_ACTIVE
+TEST(ProcessRunnerTest, CrashBeforeCancellationStaysACrash) {
+  LA_SKIP_UNDER_TSAN();
+  // The child aborts at once; the token trips well after that. The lane
+  // crashed on its own, so it must not be reported as cancelled.
+  auto Token = std::make_shared<CancellationToken>();
+  std::thread Tripper([Token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    Token->cancel();
+  });
+  ProcessResult R = runInChildProcess(
+      []() -> std::string {
+        forkPipeHolder();
+        std::abort();
+      },
+      ProcessLimits{}, Token);
+  Tripper.join();
+  EXPECT_EQ(R.Outcome, LaneOutcome::Crashed) << R.describe();
+  EXPECT_EQ(R.Signal, SIGABRT);
+}
+#endif
 
 #if !LA_ASAN_ACTIVE
 TEST(ProcessRunnerTest, MemoryLimitContainsAllocation) {

@@ -143,7 +143,7 @@ BENCHMARK(BM_IncrementalVsOneShot)
     ->Arg(1)
     ->ArgName("incremental");
 
-/// The full static pre-analysis pipeline (slicing + interval fixpoint +
+/// The full static pre-analysis pipeline (slicing + domain fixpoints +
 /// invariant verification) on a system with a bounded counting loop, a
 /// predicate outside the query cone, and a predicate unreachable from facts.
 static void BM_AnalysisPipeline(benchmark::State &State) {

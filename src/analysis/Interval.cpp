@@ -74,21 +74,6 @@ bool Interval::contains(const Rational &V) const {
   return true;
 }
 
-Interval Interval::join(const Interval &O) const {
-  if (Empty)
-    return O;
-  if (O.Empty)
-    return *this;
-  Interval R;
-  R.HasLo = HasLo && O.HasLo;
-  if (R.HasLo)
-    R.Lo = Lo <= O.Lo ? Lo : O.Lo;
-  R.HasHi = HasHi && O.HasHi;
-  if (R.HasHi)
-    R.Hi = Hi >= O.Hi ? Hi : O.Hi;
-  return R;
-}
-
 Interval Interval::meet(const Interval &O) const {
   if (Empty || O.Empty)
     return empty();
@@ -100,21 +85,6 @@ Interval Interval::meet(const Interval &O) const {
   if (R.HasHi)
     R.Hi = !HasHi ? O.Hi : !O.HasHi ? Hi : (Hi <= O.Hi ? Hi : O.Hi);
   R.normalize();
-  return R;
-}
-
-Interval Interval::widen(const Interval &Next) const {
-  if (Empty)
-    return Next;
-  if (Next.Empty)
-    return *this;
-  Interval R;
-  R.HasLo = HasLo && Next.HasLo && Next.Lo >= Lo;
-  if (R.HasLo)
-    R.Lo = Lo;
-  R.HasHi = HasHi && Next.HasHi && Next.Hi <= Hi;
-  if (R.HasHi)
-    R.Hi = Hi;
   return R;
 }
 
@@ -179,14 +149,4 @@ bool Interval::operator==(const Interval &O) const {
   if (HasHi && Hi != O.Hi)
     return false;
   return true;
-}
-
-std::string Interval::toString() const {
-  if (Empty)
-    return "[]";
-  std::string Out = "[";
-  Out += HasLo ? Lo.toString() : "-inf";
-  Out += ", ";
-  Out += HasHi ? Hi.toString() : "+inf";
-  return Out + "]";
 }

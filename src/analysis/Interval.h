@@ -5,15 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The classic interval abstract domain over the integers, with exact
-/// rational bounds and explicit +-infinity. Used by the static pre-analysis
-/// (`analysis/IntervalAnalysis.h`) to over-approximate the set of reachable
-/// argument values of each unknown predicate before the CEGAR loop starts.
-///
-/// Lattice structure: `empty` is bottom, `top` is (-inf, +inf); `join` is
-/// the lattice union, `meet` the intersection, and `widen` the standard
-/// interval widening (unstable bounds jump to infinity), which guarantees
-/// fixpoint convergence on recursive clause systems.
+/// An interval of rationals with exact bounds and explicit +-infinity: the
+/// per-argument bound the relational domains project out of their values
+/// (`Octagon::boundOf`, `PackedOctagon::boundOf`,
+/// `TemplatePolyhedron::boundOf`), the interval arithmetic the octagon
+/// transfer uses for non-octagonal atoms, and the shape of the verified
+/// bounds handed to the learner (`ArgBounds`). `empty` is bottom, `top` is
+/// (-inf, +inf), and `meet` is the intersection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +19,6 @@
 #define LA_ANALYSIS_INTERVAL_H
 
 #include "support/Rational.h"
-
-#include <string>
 
 namespace la::analysis {
 
@@ -54,17 +50,12 @@ public:
 
   bool contains(const Rational &V) const;
 
-  /// Lattice union / intersection.
-  Interval join(const Interval &O) const;
+  /// Lattice intersection.
   Interval meet(const Interval &O) const;
-  /// Standard widening: bounds of \p Next that moved past this interval's
-  /// bounds are dropped to infinity. `this` is the previous iterate.
-  Interval widen(const Interval &Next) const;
 
   /// Abstract arithmetic (sound over-approximations).
   Interval operator+(const Interval &O) const;
   Interval scaled(const Rational &Factor) const;
-  Interval negated() const { return scaled(Rational(-1)); }
 
   /// Rounds the bounds to the nearest enclosed integers (sound when the
   /// concrete values are known to be integral, as all CHC variables are).
@@ -72,9 +63,6 @@ public:
   Interval tightenIntegral() const;
 
   bool operator==(const Interval &O) const;
-  bool operator!=(const Interval &O) const { return !(*this == O); }
-
-  std::string toString() const;
 
 private:
   bool Empty = false;

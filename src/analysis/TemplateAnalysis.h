@@ -11,8 +11,8 @@
 /// system** before the fixpoint starts:
 ///
 ///   * octagon-shaped defaults: `±x_i` always, `±x_i ± x_j` on small
-///     arities, so the domain subsumes the interval rung and (on those
-///     arities) the octagon rung;
+///     arities, so the domain carries every per-argument bound and (on
+///     those arities) subsumes the octagon rung;
 ///   * harvested rows: every linear atom of every live clause constraint is
 ///     projected onto the argument positions of each application of the
 ///     predicate (a query guard `x - 2y > 0` over an application `p(x, y)`

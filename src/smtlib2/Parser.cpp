@@ -655,13 +655,18 @@ private:
       if (Op == "distinct" && Args.size() != 2)
         return error(E, "'distinct' with more than 2 operands is not "
                         "supported");
+      // Int `distinct` lowers through `mkNe` to `(or (< a b) (< b a))`, the
+      // form the mini-C encoder gives `!=`: the CEGAR loop needs fewer
+      // samples over the two strict atoms than over a negated equality.
       std::vector<const Term *> Parts;
       for (size_t I = 0; I + 1 < Args.size(); ++I) {
         const Term *L = Args[I].T, *R = Args[I + 1].T;
+        if (Args[0].S == Sort::Int) {
+          Parts.push_back(Op == "=" ? TM.mkEq(L, R) : TM.mkNe(L, R));
+          continue;
+        }
         const Term *EqPart =
-            Args[0].S == Sort::Int
-                ? TM.mkEq(L, R)
-                : TM.mkOr(TM.mkAnd(L, R), TM.mkAnd(TM.mkNot(L), TM.mkNot(R)));
+            TM.mkOr(TM.mkAnd(L, R), TM.mkAnd(TM.mkNot(L), TM.mkNot(R)));
         Parts.push_back(Op == "=" ? EqPart : TM.mkNot(EqPart));
       }
       Out = Val{Sort::Bool, TM.mkAnd(std::move(Parts)), nullptr};

@@ -71,8 +71,10 @@ struct DataDrivenOptions {
   /// Display name override (for benches comparing learners).
   std::string Name = "LinearArbitrary";
   /// Run the static pre-analysis pipeline (`src/analysis`) before the CEGAR
-  /// loop: cone-of-influence slicing, fact-reachability resolution, and
-  /// verified interval invariants seeding the interpretations.
+  /// loop: inlining, fact-reachability and cone-of-influence slicing, and
+  /// the verified octagon and template-polyhedra invariants seeding the
+  /// interpretations (their per-argument bounds and relational rows become
+  /// candidate learner attributes).
   bool EnableAnalysis = true;
   analysis::AnalysisOptions Analysis;
   /// Optional persistent tier under the clause-check memo cache: Valid

@@ -7,7 +7,7 @@
 /// \file
 /// Tests for the template-polyhedra rung: the LP front end over the exact
 /// simplex, the `TemplatePolyhedron` lattice, static template mining, the
-/// three-rung verify ladder, cooperative cancellation inside value-internal
+/// verify ladder, cooperative cancellation inside value-internal
 /// loops, and the fixpoint-engine corner cases the domain leans on. The
 /// corpus differential at the bottom pins that adding rungs to the ladder
 /// never loses a static discharge.
@@ -16,7 +16,6 @@
 
 #include "analysis/DomainCancellation.h"
 #include "analysis/FixpointEngine.h"
-#include "analysis/IntervalAnalysis.h"
 #include "analysis/OctagonAnalysis.h"
 #include "analysis/PassManager.h"
 #include "analysis/TemplateAnalysis.h"
@@ -374,12 +373,14 @@ TEST(TemplateAnalysisTest, FindsCoefficientTwoInvariant) {
   ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
+  // Neither of the lower rungs can express x <= 2y: octagons over packs of
+  // one position see both arguments unbounded above, octagons only unit
+  // coefficients.
+  AnalysisContext Unary(System);
+  Unary.Opts.Packs.MaxPackSize = 1;
+  EXPECT_FALSE(
+      runOctagonAnalysis(Unary)[Pred->Index].Value.boundOf(0).hasHi());
   AnalysisContext Ctx(System);
-
-  // Neither of the lower rungs can express x <= 2y: intervals see both
-  // arguments unbounded above, octagons only unit coefficients.
-  std::vector<IntervalState> IStates = runIntervalAnalysis(Ctx);
-  EXPECT_FALSE(IStates[Pred->Index].Value[0].hasHi());
   std::vector<OctagonState> OStates = runOctagonAnalysis(Ctx);
   Interpretation OctOnly(TM);
   if (const Term *OctInv = octagonInvariant(TM, Pred, OStates[Pred->Index]))
@@ -483,13 +484,13 @@ TEST(FixpointEngineTest, WideningDelayBoundaryIsExclusive) {
   // fact). With WideningDelay == 3 the engine widens only *past* the delay
   // (Updates > Delay), so the exact bound survives without narrowing.
   AnalysisContext Ctx(System);
+  OctagonDomain Dom(Ctx.packs(), Ctx.Opts.Packs, /*Cache=*/nullptr);
   FixpointOptions AtBoundary;
   AtBoundary.WideningDelay = 3;
   AtBoundary.NarrowingPasses = 0;
-  std::vector<IntervalState> S =
-      runDomainAnalysis(IntervalDomain(), Ctx, AtBoundary);
+  std::vector<OctagonState> S = runDomainAnalysis(Dom, Ctx, AtBoundary);
   ASSERT_TRUE(S[Pred->Index].Reachable);
-  EXPECT_EQ(S[Pred->Index].Value[0],
+  EXPECT_EQ(S[Pred->Index].Value.boundOf(0),
             Interval::range(Rational(0), Rational(3)));
 
   // One join earlier (Delay == 2) the third join widens: without narrowing
@@ -497,14 +498,14 @@ TEST(FixpointEngineTest, WideningDelayBoundaryIsExclusive) {
   FixpointOptions BelowBoundary;
   BelowBoundary.WideningDelay = 2;
   BelowBoundary.NarrowingPasses = 0;
-  S = runDomainAnalysis(IntervalDomain(), Ctx, BelowBoundary);
-  EXPECT_EQ(S[Pred->Index].Value[0].lo(), Rational(0));
-  EXPECT_FALSE(S[Pred->Index].Value[0].hasHi());
+  S = runDomainAnalysis(Dom, Ctx, BelowBoundary);
+  EXPECT_EQ(S[Pred->Index].Value.boundOf(0).lo(), Rational(0));
+  EXPECT_FALSE(S[Pred->Index].Value.boundOf(0).hasHi());
 
   // ... and one descending pass recovers it from the loop guard.
   BelowBoundary.NarrowingPasses = 1;
-  S = runDomainAnalysis(IntervalDomain(), Ctx, BelowBoundary);
-  EXPECT_EQ(S[Pred->Index].Value[0],
+  S = runDomainAnalysis(Dom, Ctx, BelowBoundary);
+  EXPECT_EQ(S[Pred->Index].Value.boundOf(0),
             Interval::range(Rational(0), Rational(3)));
 }
 
@@ -528,7 +529,6 @@ TEST(FixpointEngineTest, UnreachablePredicateStaysBottom) {
   AnalysisContext Ctx(System);
   Ctx.Opts.EnableInlining = false;
   Ctx.Opts.EnableSlicing = false;
-  EXPECT_FALSE(runIntervalAnalysis(Ctx)[Q->Index].Reachable);
   EXPECT_FALSE(runOctagonAnalysis(Ctx)[Q->Index].Reachable);
   EXPECT_FALSE(runTemplateAnalysis(Ctx)[Q->Index].Reachable);
 
@@ -551,26 +551,27 @@ TEST(FixpointEngineTest, SweepCapTelemetryIsSurfaced) {
 
   // The loop needs several sweeps; a cap of 1 must fire the safety net.
   AnalysisContext Ctx(System);
+  OctagonDomain Dom(Ctx.packs(), Ctx.Opts.Packs, /*Cache=*/nullptr);
   FixpointOptions Capped;
   Capped.MaxSweeps = 1;
   FixpointTelemetry Tele;
-  runDomainAnalysis(IntervalDomain(), Ctx, Capped, &Tele);
+  runDomainAnalysis(Dom, Ctx, Capped, &Tele);
   EXPECT_EQ(Tele.Sweeps, 1u);
   EXPECT_TRUE(Tele.HitSweepCap);
 
   // Defaults converge and report clean telemetry.
   FixpointTelemetry Clean;
-  runDomainAnalysis(IntervalDomain(), Ctx, FixpointOptions(), &Clean);
+  runDomainAnalysis(Dom, Ctx, FixpointOptions(), &Clean);
   EXPECT_FALSE(Clean.HitSweepCap);
   EXPECT_GT(Clean.Sweeps, 1u);
 
   // And the cap hit reaches the per-pass statistics.
   AnalysisOptions Opts;
-  Opts.Intervals.MaxSweeps = 1;
+  Opts.Octagons.MaxSweeps = 1;
   AnalysisResult R = analyzeSystem(System, Opts);
   bool Reported = false;
   for (const PassStats &PS : R.Passes)
-    if (PS.Name == "intervals") {
+    if (PS.Name == "octagons") {
       EXPECT_TRUE(PS.HitSweepCap);
       EXPECT_EQ(PS.SweepCapHits, 1u);
       Reported = true;
@@ -584,7 +585,7 @@ TEST(FixpointEngineTest, SweepCapTelemetryIsSurfaced) {
 //===----------------------------------------------------------------------===//
 
 TEST(PolyhedraCorpusTest, LadderOnlyStrengthensStaticDischarges) {
-  size_t IntervalOnly = 0, WithOctagons = 0, Full = 0, Programs = 0;
+  size_t Unary = 0, WithOctagons = 0, Full = 0, Programs = 0;
   size_t Skipped = 0;
   for (const corpus::BenchmarkProgram &Prog : corpus::allPrograms()) {
     if (!Prog.ExpectedSafe)
@@ -594,11 +595,13 @@ TEST(PolyhedraCorpusTest, LadderOnlyStrengthensStaticDischarges) {
     frontend::EncodeResult E = frontend::encodeMiniC(Prog.Source, System);
     ASSERT_TRUE(E.Ok) << Prog.Name << ": " << E.Error;
 
+    // The bottom rung: octagons over packs of one position, i.e.
+    // per-argument bounds only.
     AnalysisOptions A;
-    A.EnableOctagons = false;
+    A.Packs.MaxPackSize = 1;
     A.EnablePolyhedra = false;
     A.TimeoutSeconds = 2;
-    AnalysisResult RI = analyzeSystem(System, A);
+    AnalysisResult RU = analyzeSystem(System, A);
 
     AnalysisOptions B;
     B.EnablePolyhedra = false;
@@ -614,18 +617,18 @@ TEST(PolyhedraCorpusTest, LadderOnlyStrengthensStaticDischarges) {
     // differential only counts programs where all three configs converged.
     // The scalability-family programs with hundreds of SSA dimensions per
     // clause land here by design.
-    if (RI.TimedOut || RO.TimedOut || RF.TimedOut) {
+    if (RU.TimedOut || RO.TimedOut || RF.TimedOut) {
       ++Skipped;
       continue;
     }
     ++Programs;
-    bool I = RI.ProvedSat, O = RO.ProvedSat, F = RF.ProvedSat;
+    bool U = RU.ProvedSat, O = RO.ProvedSat, F = RF.ProvedSat;
 
     // Strengthening must be monotone per program: a rung added on top of
     // the ladder can never lose a discharge the shorter ladder had.
-    EXPECT_LE(I, O) << Prog.Name;
+    EXPECT_LE(U, O) << Prog.Name;
     EXPECT_LE(O, F) << Prog.Name;
-    IntervalOnly += I;
+    Unary += U;
     WithOctagons += O;
     Full += F;
 
@@ -646,9 +649,9 @@ TEST(PolyhedraCorpusTest, LadderOnlyStrengthensStaticDischarges) {
     }
   }
   ASSERT_GT(Programs, 0u);
-  printf("static discharges: intervals %zu, +octagons %zu, +polyhedra %zu "
-         "of %zu safe programs (%zu budget-skipped)\n",
-         IntervalOnly, WithOctagons, Full, Programs, Skipped);
+  printf("static discharges: packs-of-1 octagons %zu, octagons %zu, "
+         "+polyhedra %zu of %zu safe programs (%zu budget-skipped)\n",
+         Unary, WithOctagons, Full, Programs, Skipped);
   // The acceptance bar of this PR: the polyhedra rung strictly grows the
   // set of statically discharged programs.
   EXPECT_GT(Full, WithOctagons);

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 
 using namespace la;
@@ -50,6 +51,10 @@ TEST(SmtLib2ParserTest, MalformedSExprHasLocation) {
   EXPECT_NE(P.Message.find("unterminated"), std::string::npos) << P.Message;
   EXPECT_EQ(P.Line, 2u);
   EXPECT_GT(P.Col, 0u);
+
+  // An unterminated |-quoted symbol is rejected at its line too.
+  P = expectParseError("(set-logic HORN)\n\n(declare-fun |p (Int) Bool)");
+  EXPECT_EQ(P.Line, 3u) << P.Message;
 }
 
 TEST(SmtLib2ParserTest, StrayCloseParenHasLocation) {
@@ -156,8 +161,9 @@ TEST(SmtLib2ParserTest, ErrorRendersFilenameWhenGiven) {
 TEST(SmtLib2ParserTest, ParsesFig1) {
   TermManager TM;
   ChcSystem System(TM);
-  ParseResult P = parseText(R"((set-logic HORN)
-(declare-fun p (Int Int) Bool)
+  ParseResult P = parseText(R"(; Fig. 1, with ; line comments (and parens)
+(set-logic HORN)
+(declare-fun p (Int Int) Bool) ; the loop invariant
 (assert (forall ((x Int) (y Int))
   (=> (and (= x 1) (= y 0)) (p x y))))
 (assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
@@ -222,11 +228,17 @@ TEST(SmtLib2ParserTest, ParsesArithmeticOperators) {
   ASSERT_EQ(System.clauses().size(), 1u);
   const HornClause &C = System.clauses()[0];
   // (distinct x y) rules out x = y = 1 but not x = 1, y = 2.
-  std::unordered_map<const Term *, Rational> Asg{
-      {TM.mkVar("x"), Rational(1)}, {TM.mkVar("y"), Rational(2)}};
+  const Term *X = TM.mkVar("x"), *Y = TM.mkVar("y");
+  std::unordered_map<const Term *, Rational> Asg{{X, Rational(1)},
+                                                 {Y, Rational(2)}};
   EXPECT_TRUE(evalFormula(C.Constraint, Asg));
-  Asg[TM.mkVar("y")] = Rational(1);
+  Asg[Y] = Rational(1);
   EXPECT_FALSE(evalFormula(C.Constraint, Asg));
+  // Int `distinct` lowers to the strict-disjunction form of `mkNe`.
+  ASSERT_EQ(C.Constraint->kind(), TermKind::And);
+  const std::vector<const Term *> &Conj = C.Constraint->operands();
+  EXPECT_NE(std::find(Conj.begin(), Conj.end(), TM.mkNe(X, Y)), Conj.end())
+      << C.Constraint->toString();
 }
 
 TEST(SmtLib2ParserTest, NonRecursiveSystemDetected) {

@@ -32,6 +32,21 @@ static void BM_BigIntMulDiv(benchmark::State &State) {
 }
 BENCHMARK(BM_BigIntMulDiv);
 
+/// Crossing the inline/limb boundary: products of operands near 2^32
+/// overflow int64 (promotion to limbs), and dividing back demotes again.
+static void BM_BigIntPromotion(benchmark::State &State) {
+  const BigInt A((int64_t(1) << 32) + 17);
+  const BigInt B((int64_t(1) << 32) - 5);
+  const BigInt C = -((int64_t(1) << 32) + 3);
+  for (auto _ : State) {
+    BigInt AB = A * B;
+    BigInt AC = A * C;
+    benchmark::DoNotOptimize(AB / B);
+    benchmark::DoNotOptimize((AB + AC) / A);
+  }
+}
+BENCHMARK(BM_BigIntPromotion);
+
 static void BM_RationalArithmetic(benchmark::State &State) {
   Rational A(BigInt(355), BigInt(113));
   Rational B(BigInt(-22), BigInt(7));

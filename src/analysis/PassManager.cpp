@@ -218,15 +218,16 @@ public:
     // One incremental backend for the whole pass: the inductiveness fixpoint
     // re-checks clauses whose candidates did not change between rescans, and
     // the memo cache answers those without touching a solver. The budget
-    // is only polled between checks, so no one check may outlive what is
-    // left of it (an SMT timeout of 0 means unlimited).
-    smt::SmtSolver::Options Smt = Ctx.Opts.Smt;
-    if (Ctx.Clock.hasLimit()) {
+    // is only polled between checks, so before each one the SMT cap is
+    // lowered to what is left of it (an SMT timeout of 0 means unlimited).
+    const double Configured = Ctx.Opts.Smt.TimeoutSeconds;
+    auto CheckCap = [&] {
+      if (!Ctx.Clock.hasLimit())
+        return Configured;
       double Left = std::max(Ctx.Clock.remainingSeconds(), 1e-3);
-      Smt.TimeoutSeconds =
-          Smt.TimeoutSeconds > 0 ? std::min(Smt.TimeoutSeconds, Left) : Left;
-    }
-    ClauseCheckContext Checker(Ctx.system(), Smt);
+      return Configured > 0 ? std::min(Configured, Left) : Left;
+    };
+    ClauseCheckContext Checker(Ctx.system(), Ctx.Opts.Smt);
 
     Interpretation Cand(TM);
     for (const auto &[P, F] : Res.Fixed)
@@ -256,6 +257,7 @@ public:
           Stats.Check = Checker.stats();
           return;
         }
+        Checker.setTimeout(CheckCap());
         ClauseCheckResult Check = Checker.check(CI, Cand);
         ++Stats.SmtChecks;
         if (Check.Status == ClauseStatus::Valid)

@@ -7,6 +7,7 @@
 #include "chc/ChcCheck.h"
 
 #include "support/FileCache.h"
+#include "support/Timer.h"
 
 #include <cassert>
 #include <cstdlib>
@@ -208,7 +209,12 @@ ClauseCheckResult ClauseCheckContext::check(size_t ClauseIndex,
     ++Statistics.DiskMisses;
   }
 
+  // One SMT cap per clause check: the sub-checks of a split conjunction
+  // head share it rather than getting it each. A solver built under an
+  // earlier cap takes the current one.
   SmtSolver &Solver = solverFor(ClauseIndex);
+  Solver.setTimeout(Opts.TimeoutSeconds);
+  Deadline CheckClock(Opts.TimeoutSeconds);
   Solver.push();
   ++Statistics.ScopePushes;
   for (const PredApp &App : Clause.Body)
@@ -228,10 +234,14 @@ ClauseCheckResult ClauseCheckContext::check(size_t ClauseIndex,
     ++Statistics.ConjunctSplits;
     Result.Status = ClauseStatus::Valid;
     for (const Term *Conjunct : Head->operands()) {
-      if (isCancelled(Opts.Cancel)) {
+      // Read the clock once: a cap of 0 would mean unlimited, not expired.
+      double Left = CheckClock.remainingSeconds();
+      if (isCancelled(Opts.Cancel) || Left <= 0) {
         Result = ClauseCheckResult{}; // Unknown: budget expired mid-split
         break;
       }
+      if (CheckClock.hasLimit())
+        Solver.setTimeout(Left);
       Solver.push();
       ++Statistics.ScopePushes;
       Solver.assertFormula(TM.mkNot(Conjunct));

@@ -111,6 +111,12 @@ public:
   /// Checks every clause; Valid only when all clauses are valid.
   ClauseStatus checkAll(const Interpretation &Interp);
 
+  /// Replaces the SMT wall-clock cap (0 = unlimited) of later checks,
+  /// including those on per-clause solvers built earlier. The cap bounds
+  /// one check() call, however many sub-checks a conjunction head splits
+  /// into.
+  void setTimeout(double Seconds) { Opts.TimeoutSeconds = Seconds; }
+
   const CheckStats &stats() const { return Statistics; }
   const ChcSystem &system() const { return System; }
 

@@ -92,6 +92,9 @@ public:
 
   size_t numScopes() const { return ScopeMarks.size(); }
 
+  /// Replaces the wall-clock cap of later check() calls (0 = unlimited).
+  void setTimeout(double Seconds) { Opts.TimeoutSeconds = Seconds; }
+
   /// Decides the conjunction of currently asserted formulas. May be called
   /// repeatedly, interleaved with assert/push/pop.
   SmtResult check();

@@ -8,18 +8,51 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <numeric>
 
 using namespace la;
 
-BigInt::BigInt(int64_t Value) {
-  if (Value == 0)
-    return;
-  Negative = Value < 0;
-  // Avoid UB on INT64_MIN by negating in the unsigned domain.
-  uint64_t Magnitude =
-      Negative ? ~static_cast<uint64_t>(Value) + 1 : static_cast<uint64_t>(Value);
-  Limbs.push_back(Magnitude);
+/// |Value| in the unsigned domain (no UB on INT64_MIN).
+static uint64_t magnitudeOf(int64_t Value) {
+  return Value < 0 ? ~static_cast<uint64_t>(Value) + 1
+                   : static_cast<uint64_t>(Value);
+}
+
+static void stripLeadingZeros(std::vector<uint64_t> &Limbs) {
+  while (!Limbs.empty() && Limbs.back() == 0)
+    Limbs.pop_back();
+}
+
+BigInt::MagnitudeRef BigInt::magnitude(uint64_t &Scratch) const {
+  if (!Limbs.empty())
+    return {Limbs.data(), Limbs.size()};
+  Scratch = magnitudeOf(Small);
+  return {&Scratch, Small != 0 ? size_t(1) : size_t(0)};
+}
+
+BigInt BigInt::fromMagnitude(bool Negative, uint64_t Magnitude) {
+  constexpr uint64_t MaxPositive = static_cast<uint64_t>(INT64_MAX);
+  BigInt Result;
+  if (Magnitude <= MaxPositive) {
+    Result.Small = Negative ? -static_cast<int64_t>(Magnitude)
+                            : static_cast<int64_t>(Magnitude);
+  } else if (Negative && Magnitude == MaxPositive + 1) {
+    Result.Small = INT64_MIN;
+  } else {
+    Result.Small = Negative ? -1 : 1;
+    Result.Limbs.push_back(Magnitude);
+  }
+  return Result;
+}
+
+BigInt BigInt::fromMagnitude(bool Negative, std::vector<uint64_t> Magnitude) {
+  stripLeadingZeros(Magnitude);
+  if (Magnitude.size() <= 1)
+    return fromMagnitude(Negative, Magnitude.empty() ? 0 : Magnitude[0]);
+  BigInt Result;
+  Result.Small = Negative ? -1 : 1;
+  Result.Limbs = std::move(Magnitude);
+  return Result;
 }
 
 std::optional<BigInt> BigInt::fromString(const std::string &Text) {
@@ -38,40 +71,31 @@ std::optional<BigInt> BigInt::fromString(const std::string &Text) {
       return std::nullopt;
     Result = Result * Ten + BigInt(Text[I] - '0');
   }
-  if (Neg && !Result.isZero())
-    Result.Negative = true;
+  if (Neg)
+    Result = -Result;
   return Result;
 }
 
-void BigInt::normalize() {
-  while (!Limbs.empty() && Limbs.back() == 0)
-    Limbs.pop_back();
-  if (Limbs.empty())
-    Negative = false;
-}
-
-int BigInt::compareMagnitude(const std::vector<uint64_t> &A,
-                             const std::vector<uint64_t> &B) {
-  if (A.size() != B.size())
-    return A.size() < B.size() ? -1 : 1;
-  for (size_t I = A.size(); I-- > 0;) {
-    if (A[I] != B[I])
-      return A[I] < B[I] ? -1 : 1;
+int BigInt::compareMagnitude(MagnitudeRef A, MagnitudeRef B) {
+  if (A.Size != B.Size)
+    return A.Size < B.Size ? -1 : 1;
+  for (size_t I = A.Size; I-- > 0;) {
+    if (A.Data[I] != B.Data[I])
+      return A.Data[I] < B.Data[I] ? -1 : 1;
   }
   return 0;
 }
 
-std::vector<uint64_t> BigInt::addMagnitude(const std::vector<uint64_t> &A,
-                                           const std::vector<uint64_t> &B) {
-  const std::vector<uint64_t> &Long = A.size() >= B.size() ? A : B;
-  const std::vector<uint64_t> &Short = A.size() >= B.size() ? B : A;
+std::vector<uint64_t> BigInt::addMagnitude(MagnitudeRef A, MagnitudeRef B) {
+  MagnitudeRef Long = A.Size >= B.Size ? A : B;
+  MagnitudeRef Short = A.Size >= B.Size ? B : A;
   std::vector<uint64_t> Result;
-  Result.reserve(Long.size() + 1);
+  Result.reserve(Long.Size + 1);
   unsigned __int128 Carry = 0;
-  for (size_t I = 0; I < Long.size(); ++I) {
-    unsigned __int128 Sum = Carry + Long[I];
-    if (I < Short.size())
-      Sum += Short[I];
+  for (size_t I = 0; I < Long.Size; ++I) {
+    unsigned __int128 Sum = Carry + Long.Data[I];
+    if (I < Short.Size)
+      Sum += Short.Data[I];
     Result.push_back(static_cast<uint64_t>(Sum));
     Carry = Sum >> 64;
   }
@@ -80,150 +104,140 @@ std::vector<uint64_t> BigInt::addMagnitude(const std::vector<uint64_t> &A,
   return Result;
 }
 
-std::vector<uint64_t> BigInt::subMagnitude(const std::vector<uint64_t> &A,
-                                           const std::vector<uint64_t> &B) {
-  assert(compareMagnitude(A, B) >= 0 && "subtraction would underflow");
-  std::vector<uint64_t> Result;
-  Result.reserve(A.size());
+/// A -= B in place, where |A| >= |B|; strips leading zeros.
+static void subtractInPlace(std::vector<uint64_t> &A, const uint64_t *B,
+                            size_t BSize) {
   uint64_t Borrow = 0;
   for (size_t I = 0; I < A.size(); ++I) {
-    uint64_t Sub = I < B.size() ? B[I] : 0;
+    if (I >= BSize && Borrow == 0)
+      break;
+    uint64_t Sub = I < BSize ? B[I] : 0;
     uint64_t Value = A[I] - Sub - Borrow;
     // Borrow occurred iff A[I] < Sub + Borrow in the unsigned domain.
     Borrow = (A[I] < Sub || (A[I] == Sub && Borrow)) ? 1 : 0;
-    Result.push_back(Value);
+    A[I] = Value;
   }
+  assert(Borrow == 0 && "subtraction would underflow");
+  stripLeadingZeros(A);
+}
+
+std::vector<uint64_t> BigInt::subMagnitude(MagnitudeRef A, MagnitudeRef B) {
+  assert(compareMagnitude(A, B) >= 0 && "subtraction would underflow");
+  std::vector<uint64_t> Result(A.Data, A.Data + A.Size);
+  subtractInPlace(Result, B.Data, B.Size);
   return Result;
 }
 
-BigInt BigInt::operator-() const {
-  BigInt Result = *this;
-  if (!Result.isZero())
-    Result.Negative = !Result.Negative;
-  return Result;
+BigInt BigInt::negateSlow() const {
+  if (Limbs.empty()) // only INT64_MIN, whose negation needs a limb
+    return fromMagnitude(false, magnitudeOf(Small));
+  return fromMagnitude(Small > 0, Limbs);
 }
 
-BigInt BigInt::abs() const {
-  BigInt Result = *this;
-  Result.Negative = false;
-  return Result;
+BigInt BigInt::addSlow(const BigInt &A, const BigInt &B, bool NegateRHS) {
+  bool NegA = A.Small < 0;
+  bool NegB = (B.Small < 0) != NegateRHS;
+  uint64_t ScratchA, ScratchB;
+  MagnitudeRef MA = A.magnitude(ScratchA), MB = B.magnitude(ScratchB);
+  if (NegA == NegB)
+    return fromMagnitude(NegA, addMagnitude(MA, MB));
+  if (compareMagnitude(MA, MB) >= 0)
+    return fromMagnitude(NegA, subMagnitude(MA, MB));
+  return fromMagnitude(NegB, subMagnitude(MB, MA));
 }
 
-BigInt BigInt::operator+(const BigInt &RHS) const {
-  BigInt Result;
-  if (Negative == RHS.Negative) {
-    Result.Limbs = addMagnitude(Limbs, RHS.Limbs);
-    Result.Negative = Negative;
-  } else if (compareMagnitude(Limbs, RHS.Limbs) >= 0) {
-    Result.Limbs = subMagnitude(Limbs, RHS.Limbs);
-    Result.Negative = Negative;
-  } else {
-    Result.Limbs = subMagnitude(RHS.Limbs, Limbs);
-    Result.Negative = RHS.Negative;
-  }
-  Result.normalize();
-  return Result;
-}
-
-BigInt BigInt::operator-(const BigInt &RHS) const { return *this + (-RHS); }
-
-BigInt BigInt::operator*(const BigInt &RHS) const {
-  if (isZero() || RHS.isZero())
+BigInt BigInt::mulSlow(const BigInt &A, const BigInt &B) {
+  if (A.isZero() || B.isZero())
     return BigInt();
-  BigInt Result;
-  Result.Limbs.assign(Limbs.size() + RHS.Limbs.size(), 0);
-  for (size_t I = 0; I < Limbs.size(); ++I) {
+  uint64_t ScratchA, ScratchB;
+  MagnitudeRef MA = A.magnitude(ScratchA), MB = B.magnitude(ScratchB);
+  std::vector<uint64_t> Product(MA.Size + MB.Size, 0);
+  for (size_t I = 0; I < MA.Size; ++I) {
     unsigned __int128 Carry = 0;
-    for (size_t J = 0; J < RHS.Limbs.size(); ++J) {
-      unsigned __int128 Cur = Result.Limbs[I + J];
-      Cur += static_cast<unsigned __int128>(Limbs[I]) * RHS.Limbs[J] + Carry;
-      Result.Limbs[I + J] = static_cast<uint64_t>(Cur);
+    for (size_t J = 0; J < MB.Size; ++J) {
+      unsigned __int128 Cur = Product[I + J];
+      Cur += static_cast<unsigned __int128>(MA.Data[I]) * MB.Data[J] + Carry;
+      Product[I + J] = static_cast<uint64_t>(Cur);
       Carry = Cur >> 64;
     }
-    size_t K = I + RHS.Limbs.size();
+    size_t K = I + MB.Size;
     while (Carry != 0) {
-      unsigned __int128 Cur = Result.Limbs[K];
+      unsigned __int128 Cur = Product[K];
       Cur += Carry;
-      Result.Limbs[K] = static_cast<uint64_t>(Cur);
+      Product[K] = static_cast<uint64_t>(Cur);
       Carry = Cur >> 64;
       ++K;
     }
   }
-  Result.Negative = Negative != RHS.Negative;
-  Result.normalize();
-  return Result;
-}
-
-bool BigInt::magnitudeBit(size_t Index) const {
-  size_t Limb = Index / 64;
-  if (Limb >= Limbs.size())
-    return false;
-  return (Limbs[Limb] >> (Index % 64)) & 1;
+  return fromMagnitude((A.Small < 0) != (B.Small < 0), std::move(Product));
 }
 
 size_t BigInt::bitLength() const {
-  if (Limbs.empty())
+  uint64_t Scratch;
+  MagnitudeRef Mag = magnitude(Scratch);
+  if (Mag.Size == 0)
     return 0;
-  uint64_t Top = Limbs.back();
-  size_t Bits = 0;
-  while (Top != 0) {
-    ++Bits;
-    Top >>= 1;
-  }
-  return (Limbs.size() - 1) * 64 + Bits;
+  return Mag.Size * 64 - __builtin_clzll(Mag.Data[Mag.Size - 1]);
 }
 
 BigInt::DivModResult BigInt::divMod(const BigInt &Divisor) const {
   assert(!Divisor.isZero() && "division by zero");
-  DivModResult Result;
-  // Fast path: both values fit in a machine word.
-  if (Limbs.size() <= 1 && Divisor.Limbs.size() <= 1) {
-    uint64_t A = Limbs.empty() ? 0 : Limbs[0];
-    uint64_t B = Divisor.Limbs[0];
-    uint64_t Q = A / B, R = A % B;
-    if (Q != 0) {
-      Result.Quotient.Limbs.push_back(Q);
-      Result.Quotient.Negative = Negative != Divisor.Negative;
+  if (!bothInline(Divisor))
+    return divModSlow(Divisor);
+  // INT64_MIN / -1 is the one inline quotient that overflows.
+  if (Divisor.Small == -1)
+    return {-*this, BigInt()};
+  return {BigInt(Small / Divisor.Small), BigInt(Small % Divisor.Small)};
+}
+
+BigInt::DivModResult BigInt::divModSlow(const BigInt &Divisor) const {
+  bool Negative = Small < 0;
+  bool QuotientNegative = Negative != (Divisor.Small < 0);
+  uint64_t ScratchA, ScratchB;
+  MagnitudeRef MA = magnitude(ScratchA), MB = Divisor.magnitude(ScratchB);
+  if (compareMagnitude(MA, MB) < 0)
+    return {BigInt(), *this};
+
+  std::vector<uint64_t> Quotient(MA.Size, 0);
+  if (MB.Size == 1) {
+    // Short division by a one-limb divisor, most significant limb first.
+    uint64_t D = MB.Data[0];
+    unsigned __int128 Rem = 0;
+    for (size_t I = MA.Size; I-- > 0;) {
+      unsigned __int128 Cur = (Rem << 64) | MA.Data[I];
+      Quotient[I] = static_cast<uint64_t>(Cur / D);
+      Rem = Cur % D;
     }
-    if (R != 0) {
-      Result.Remainder.Limbs.push_back(R);
-      Result.Remainder.Negative = Negative;
-    }
-    return Result;
+    return {fromMagnitude(QuotientNegative, std::move(Quotient)),
+            fromMagnitude(Negative, static_cast<uint64_t>(Rem))};
   }
 
-  // Shift-subtract long division over magnitudes.
+  // Shift-subtract long division over magnitudes, in place.
   const size_t Bits = bitLength();
-  BigInt Remainder;
-  BigInt Quotient;
-  Quotient.Limbs.assign(Limbs.size(), 0);
-  BigInt DivisorAbs = Divisor.abs();
+  std::vector<uint64_t> Rem;
+  Rem.reserve(MB.Size + 1);
   for (size_t I = Bits; I-- > 0;) {
-    // Remainder = Remainder * 2 + bit(I); shift in place.
-    uint64_t Carry = magnitudeBit(I) ? 1 : 0;
-    for (size_t J = 0; J < Remainder.Limbs.size(); ++J) {
-      uint64_t Next = Remainder.Limbs[J] >> 63;
-      Remainder.Limbs[J] = (Remainder.Limbs[J] << 1) | Carry;
+    // Rem = Rem * 2 + bit(I).
+    uint64_t Carry = (MA.Data[I / 64] >> (I % 64)) & 1;
+    for (uint64_t &Limb : Rem) {
+      uint64_t Next = Limb >> 63;
+      Limb = (Limb << 1) | Carry;
       Carry = Next;
     }
     if (Carry != 0)
-      Remainder.Limbs.push_back(Carry);
-    if (compareMagnitude(Remainder.Limbs, DivisorAbs.Limbs) >= 0) {
-      Remainder.Limbs = subMagnitude(Remainder.Limbs, DivisorAbs.Limbs);
-      Remainder.normalize();
-      Quotient.Limbs[I / 64] |= uint64_t(1) << (I % 64);
+      Rem.push_back(Carry);
+    if (compareMagnitude({Rem.data(), Rem.size()}, MB) >= 0) {
+      subtractInPlace(Rem, MB.Data, MB.Size);
+      Quotient[I / 64] |= uint64_t(1) << (I % 64);
     }
   }
-  Quotient.Negative = Negative != Divisor.Negative;
-  Quotient.normalize();
-  Remainder.Negative = Negative;
-  Remainder.normalize();
-  Result.Quotient = std::move(Quotient);
-  Result.Remainder = std::move(Remainder);
-  return Result;
+  return {fromMagnitude(QuotientNegative, std::move(Quotient)),
+          fromMagnitude(Negative, std::move(Rem))};
 }
 
-BigInt BigInt::operator/(const BigInt &RHS) const { return divMod(RHS).Quotient; }
+BigInt BigInt::operator/(const BigInt &RHS) const {
+  return divMod(RHS).Quotient;
+}
 
 BigInt BigInt::operator%(const BigInt &RHS) const {
   return divMod(RHS).Remainder;
@@ -239,6 +253,9 @@ BigInt BigInt::euclideanMod(const BigInt &Divisor) const {
 BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
   BigInt X = A.abs(), Y = B.abs();
   while (!Y.isZero()) {
+    if (X.bothInline(Y))
+      return fromMagnitude(false, std::gcd(magnitudeOf(X.Small),
+                                           magnitudeOf(Y.Small)));
     BigInt R = X % Y;
     X = std::move(Y);
     Y = std::move(R);
@@ -246,58 +263,57 @@ BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
   return X;
 }
 
-int BigInt::compare(const BigInt &RHS) const {
-  if (Negative != RHS.Negative)
-    return Negative ? -1 : 1;
-  int Mag = compareMagnitude(Limbs, RHS.Limbs);
-  return Negative ? -Mag : Mag;
-}
-
-std::optional<int64_t> BigInt::toInt64() const {
-  if (Limbs.empty())
-    return 0;
-  if (Limbs.size() > 1)
-    return std::nullopt;
-  uint64_t Magnitude = Limbs[0];
-  if (Negative) {
-    if (Magnitude > static_cast<uint64_t>(INT64_MAX) + 1)
-      return std::nullopt;
-    return static_cast<int64_t>(~Magnitude + 1);
-  }
-  if (Magnitude > static_cast<uint64_t>(INT64_MAX))
-    return std::nullopt;
-  return static_cast<int64_t>(Magnitude);
+int BigInt::compareSlow(const BigInt &RHS) const {
+  int Sign = signum(), RHSSign = RHS.signum();
+  if (Sign != RHSSign)
+    return Sign < RHSSign ? -1 : 1;
+  uint64_t ScratchA, ScratchB;
+  int Mag = compareMagnitude(magnitude(ScratchA), RHS.magnitude(ScratchB));
+  return Sign < 0 ? -Mag : Mag;
 }
 
 double BigInt::toDouble() const {
+  if (Limbs.empty())
+    return static_cast<double>(Small);
   double Result = 0;
   for (size_t I = Limbs.size(); I-- > 0;)
     Result = Result * 18446744073709551616.0 + static_cast<double>(Limbs[I]);
-  return Negative ? -Result : Result;
+  return Small < 0 ? -Result : Result;
 }
 
 std::string BigInt::toString() const {
-  if (isZero())
-    return "0";
+  if (Limbs.empty())
+    return std::to_string(Small);
+  // Peel base-10^19 chunks off the magnitude by short division.
+  constexpr uint64_t ChunkBase = 10000000000000000000ULL;
+  std::vector<uint64_t> Value = Limbs;
   std::string Digits;
-  BigInt Value = abs();
-  BigInt Ten(10);
-  while (!Value.isZero()) {
-    DivModResult QR = Value.divMod(Ten);
-    int64_t Digit = *QR.Remainder.toInt64();
-    Digits.push_back(static_cast<char>('0' + Digit));
-    Value = std::move(QR.Quotient);
+  while (!Value.empty()) {
+    unsigned __int128 Rem = 0;
+    for (size_t I = Value.size(); I-- > 0;) {
+      unsigned __int128 Cur = (Rem << 64) | Value[I];
+      Value[I] = static_cast<uint64_t>(Cur / ChunkBase);
+      Rem = Cur % ChunkBase;
+    }
+    stripLeadingZeros(Value);
+    uint64_t Chunk = static_cast<uint64_t>(Rem);
+    for (int D = 0; D < 19 && (Chunk != 0 || !Value.empty()); ++D) {
+      Digits.push_back(static_cast<char>('0' + Chunk % 10));
+      Chunk /= 10;
+    }
   }
-  if (Negative)
+  if (Small < 0)
     Digits.push_back('-');
   std::reverse(Digits.begin(), Digits.end());
   return Digits;
 }
 
 size_t BigInt::hash() const {
-  size_t Seed = Negative ? 0x9e3779b97f4a7c15ULL : 0;
-  for (uint64_t Limb : Limbs)
-    Seed ^= static_cast<size_t>(Limb) + 0x9e3779b97f4a7c15ULL + (Seed << 6) +
-            (Seed >> 2);
+  size_t Seed = Small < 0 ? 0x9e3779b97f4a7c15ULL : 0;
+  uint64_t Scratch;
+  MagnitudeRef Mag = magnitude(Scratch);
+  for (size_t I = 0; I < Mag.Size; ++I)
+    Seed ^= static_cast<size_t>(Mag.Data[I]) + 0x9e3779b97f4a7c15ULL +
+            (Seed << 6) + (Seed >> 2);
   return Seed;
 }

@@ -11,6 +11,8 @@ using namespace la;
 Rational::Rational(BigInt Numerator, BigInt Denominator)
     : Num(std::move(Numerator)), Den(std::move(Denominator)) {
   assert(!Den.isZero() && "rational with zero denominator");
+  if (Den.isOne())
+    return;
   if (Den.isNegative()) {
     Num = -Num;
     Den = -Den;
@@ -58,15 +60,24 @@ Rational Rational::inverse() const {
   return Rational(Den, Num);
 }
 
+// The integer paths (both denominators 1) skip the gcd: an integer result
+// is already in lowest terms.
+
 Rational Rational::operator+(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num + RHS.Num);
   return Rational(Num * RHS.Den + RHS.Num * Den, Den * RHS.Den);
 }
 
 Rational Rational::operator-(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num - RHS.Num);
   return Rational(Num * RHS.Den - RHS.Num * Den, Den * RHS.Den);
 }
 
 Rational Rational::operator*(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num * RHS.Num);
   return Rational(Num * RHS.Num, Den * RHS.Den);
 }
 
@@ -76,6 +87,8 @@ Rational Rational::operator/(const Rational &RHS) const {
 }
 
 int Rational::compare(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Num.compare(RHS.Num);
   return (Num * RHS.Den).compare(RHS.Num * Den);
 }
 

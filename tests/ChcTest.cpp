@@ -205,6 +205,28 @@ TEST_F(Fig1System, CacheEvictionAtCapacity) {
   EXPECT_EQ(Checker.stats().CacheMisses, 4u);
 }
 
+TEST_F(Fig1System, LoweredTimeoutReachesSolversBuiltEarlier) {
+  ClauseCheckContext Checker(System, {});
+  Interpretation A(TM);
+  A.set(P, TM.mkGe(P->Params[0], TM.mkIntConst(0)));
+  EXPECT_EQ(Checker.check(1, A).Status, ClauseStatus::Invalid);
+  ASSERT_EQ(Checker.stats().SolverRebuilds, 1u);
+
+  // The clause's solver now exists; a cap far below one theory round must
+  // still reach it and turn the next (uncached) check into Unknown.
+  Checker.setTimeout(1e-300);
+  Interpretation B(TM);
+  B.set(P, TM.mkGe(P->Params[0], TM.mkIntConst(1)));
+  EXPECT_EQ(Checker.check(1, B).Status, ClauseStatus::Unknown);
+  EXPECT_EQ(Checker.stats().RebuildsAvoided, 1u);
+
+  // Unknown is not memoised: with the cap lifted (0 = unlimited) the same
+  // check runs again and decides (y < 0 breaks x >= 1).
+  Checker.setTimeout(0);
+  EXPECT_EQ(Checker.check(1, B).Status, ClauseStatus::Invalid);
+  EXPECT_EQ(Checker.stats().CacheHits, 0u);
+}
+
 TEST_F(Fig1System, CheckAllMatchesCheckInterpretation) {
   std::vector<Interpretation> Interps;
   Interps.emplace_back(TM);

@@ -139,6 +139,175 @@ TEST(BigIntTest, PropertyRingAxioms) {
 }
 
 //===----------------------------------------------------------------------===//
+// BigInt inline/limb boundary, against an __int128 reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Int128 = __int128;
+constexpr Int128 TwoTo63 = Int128(1) << 63;
+constexpr Int128 TwoTo64 = Int128(1) << 64;
+
+std::string int128ToString(Int128 V) {
+  if (V == 0)
+    return "0";
+  bool Negative = V < 0;
+  unsigned __int128 Magnitude =
+      Negative ? ~static_cast<unsigned __int128>(V) + 1
+               : static_cast<unsigned __int128>(V);
+  std::string Digits;
+  for (; Magnitude != 0; Magnitude /= 10)
+    Digits.insert(Digits.begin(), static_cast<char>('0' + Magnitude % 10));
+  if (Negative)
+    Digits.insert(Digits.begin(), '-');
+  return Digits;
+}
+
+BigInt bigFrom(Int128 V) { return *BigInt::fromString(int128ToString(V)); }
+
+Int128 absOf(Int128 V) { return V < 0 ? -V : V; }
+
+Int128 gcdOf(Int128 A, Int128 B) {
+  A = absOf(A);
+  B = absOf(B);
+  while (B != 0) {
+    Int128 R = A % B;
+    A = B;
+    B = R;
+  }
+  return A;
+}
+
+/// An operand within 1000 of one of the interesting centres: 0, +-2^31,
+/// +-2^62, the int64 bounds, and the first limb-form values +-2^63, +-2^64.
+Int128 drawNearBoundary(Random &Rng) {
+  static const Int128 Centres[] = {0,
+                                   Int128(1) << 31,
+                                   -(Int128(1) << 31),
+                                   Int128(1) << 62,
+                                   -(Int128(1) << 62),
+                                   INT64_MAX,
+                                   INT64_MIN,
+                                   TwoTo63,
+                                   -TwoTo63 - 1,
+                                   TwoTo64,
+                                   -TwoTo64};
+  Int128 Centre = Centres[Rng.nextBounded(std::size(Centres))];
+  return Centre + Rng.nextInRange(-1000, 1000);
+}
+
+} // namespace
+
+TEST(BigIntBoundaryTest, DifferentialAgainstInt128) {
+  Random Rng(20240614);
+  for (int Iter = 0; Iter < 20000; ++Iter) {
+    Int128 A = drawNearBoundary(Rng), B = drawNearBoundary(Rng);
+    BigInt BA = bigFrom(A), BB = bigFrom(B);
+    std::string Ctx = int128ToString(A) + " , " + int128ToString(B);
+    EXPECT_EQ(BA.toString(), int128ToString(A)) << Ctx;
+    EXPECT_EQ((BA + BB).toString(), int128ToString(A + B)) << Ctx;
+    EXPECT_EQ((BA - BB).toString(), int128ToString(A - B)) << Ctx;
+    Int128 Product;
+    if (!__builtin_mul_overflow(A, B, &Product)) {
+      EXPECT_EQ((BA * BB).toString(), int128ToString(Product)) << Ctx;
+    }
+    EXPECT_EQ(BA.compare(BB), (A > B) - (A < B)) << Ctx;
+    EXPECT_EQ(BA == BB, A == B) << Ctx;
+    EXPECT_EQ(BigInt::gcd(BA, BB).toString(), int128ToString(gcdOf(A, B)))
+        << Ctx;
+    bool FitsInt64 = A >= INT64_MIN && A <= INT64_MAX;
+    EXPECT_EQ(BA.toInt64().has_value(), FitsInt64) << Ctx;
+    if (B == 0)
+      continue;
+    BigInt::DivModResult QR = BA.divMod(BB);
+    EXPECT_EQ(QR.Quotient.toString(), int128ToString(A / B)) << Ctx;
+    EXPECT_EQ(QR.Remainder.toString(), int128ToString(A % B)) << Ctx;
+    EXPECT_EQ((BA / BB).toString(), int128ToString(A / B)) << Ctx;
+    EXPECT_EQ((BA % BB).toString(), int128ToString(A % B)) << Ctx;
+    Int128 Euclid = A % B < 0 ? A % B + absOf(B) : A % B;
+    EXPECT_EQ(BA.euclideanMod(BB).toString(), int128ToString(Euclid)) << Ctx;
+  }
+}
+
+TEST(BigIntBoundaryTest, NamedEdgeCases) {
+  const BigInt Min(INT64_MIN);
+  const std::string TwoTo63Text = "9223372036854775808";
+  EXPECT_EQ((-Min).toString(), TwoTo63Text);
+  EXPECT_FALSE((-Min).toInt64().has_value());
+  EXPECT_EQ(Min.abs().toString(), TwoTo63Text);
+  EXPECT_EQ((Min / BigInt(-1)).toString(), TwoTo63Text);
+  EXPECT_EQ(Min.divMod(BigInt(-1)).Remainder, BigInt(0));
+  EXPECT_EQ(Min % BigInt(-1), BigInt(0));
+  // gcd(INT64_MIN, 0) = 2^63 does not fit in int64: it comes back in limb
+  // form, and negating it lands back on the inline INT64_MIN.
+  BigInt G = BigInt::gcd(Min, BigInt(0));
+  EXPECT_EQ(G.toString(), TwoTo63Text);
+  EXPECT_FALSE(G.toInt64().has_value());
+  EXPECT_EQ((-G).toInt64(), std::optional<int64_t>(INT64_MIN));
+  EXPECT_EQ(BigInt::gcd(Min, Min).toString(), TwoTo63Text);
+  EXPECT_EQ((Min * BigInt(-1)).toString(), TwoTo63Text);
+  EXPECT_EQ((BigInt(INT64_MAX) + BigInt(1)).toString(), TwoTo63Text);
+  EXPECT_EQ((Min - BigInt(1)).toString(), "-9223372036854775809");
+  EXPECT_EQ(Min.bitLength(), 64u);
+  EXPECT_EQ(G.bitLength(), 64u);
+}
+
+TEST(BigIntBoundaryTest, PromotedAndDemotedValuesMatchDirectOnes) {
+  Random Rng(99);
+  for (int Iter = 0; Iter < 2000; ++Iter) {
+    int64_t V = static_cast<int64_t>(drawNearBoundary(Rng) % TwoTo63);
+    int64_t Other = static_cast<int64_t>(drawNearBoundary(Rng) % TwoTo63);
+    if (Other == 0)
+      Other = 3;
+    BigInt Direct(V);
+    // Push through limb form with a large multiple of `Other` and back.
+    BigInt Wide = BigInt(INT64_MAX) * BigInt(Other);
+    BigInt ViaSum = (Direct + Wide) - Wide;
+    BigInt ViaProduct = (Direct * Wide) / Wide;
+    for (const BigInt &Back : {ViaSum, ViaProduct}) {
+      EXPECT_EQ(Back, Direct) << V;
+      EXPECT_EQ(Back.compare(Direct), 0) << V;
+      EXPECT_EQ(Back.hash(), Direct.hash()) << V;
+      EXPECT_EQ(Back.toInt64(), std::optional<int64_t>(V)) << V;
+    }
+  }
+}
+
+TEST(BigIntBoundaryTest, HashIsPinned) {
+  // Term interning and the octagon/transfer-cache keys hash through
+  // BigInt::hash, so unordered iteration orders depend on these values.
+  EXPECT_EQ(BigInt(0).hash(), 0u);
+  EXPECT_EQ(BigInt(1).hash(), 11400714819323198486ULL);
+  EXPECT_EQ(BigInt(-1).hash(), 14813675350809533518ULL);
+  EXPECT_EQ(BigInt(INT64_MIN).hash(), 5590303313954757711ULL);
+  EXPECT_EQ(BigInt::fromString("18446744073709551617")->hash(),
+            14813675350809533581ULL);
+}
+
+TEST(RationalBoundaryTest, IntegerPathMatchesGeneralPath) {
+  Random Rng(4242);
+  const Rational Half(BigInt(1), BigInt(2));
+  const Rational Third(BigInt(1), BigInt(3));
+  for (int Iter = 0; Iter < 5000; ++Iter) {
+    Rational A(bigFrom(drawNearBoundary(Rng))),
+        B(bigFrom(drawNearBoundary(Rng)));
+    ASSERT_TRUE(A.isInteger() && B.isInteger());
+    // Each right-hand side detours through non-integer operands, so it runs
+    // the general cross-multiply-and-reduce path.
+    Rational Sum = (A + Half) + (B - Half);
+    Rational Difference = (A + Half) - (B + Half);
+    Rational Product = (A * Third) * (B * Rational(3));
+    EXPECT_EQ(A + B, Sum);
+    EXPECT_EQ(A - B, Difference);
+    EXPECT_EQ(A * B, Product);
+    EXPECT_EQ((A * B).hash(), Product.hash());
+    EXPECT_TRUE((A + B).isInteger() && (A * B).isInteger());
+    EXPECT_EQ(A.compare(B), (A + Half).compare(B + Half));
+    EXPECT_EQ(Rational(A.numerator() * BigInt(6), BigInt(6)), A);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Rational
 //===----------------------------------------------------------------------===//
 
